@@ -446,6 +446,7 @@ def _command_lint(args) -> int:
         if (candidate / "tools" / "analyze" / "cli.py").is_file():
             if str(candidate) not in sys.path:
                 sys.path.insert(0, str(candidate))
+            # repro-lint: disable=undeclared-dependency (tools/ is the checkout's analyzer, found on disk above)
             from tools.analyze.cli import main as lint_main
 
             forwarded = [arg for arg in args.lint_args if arg != "--"]

@@ -22,7 +22,8 @@ example given in Section III-A of the paper.
 strictly-super-super-diagonal entries (``j > i + 1``) are free; everything
 else is structurally zero.  The class provides the encoding/decoding used by
 the Gaussian-process surrogate, random sampling, neighbourhood moves for local
-search, and conversion to :mod:`networkx` graphs for analysis/visualisation.
+search, and an optional export to :mod:`networkx` graphs for analysis (the
+``graph`` extra; nothing else in the package needs networkx).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.tensor.random import default_rng
@@ -262,8 +262,14 @@ class BlockAdjacency:
         """Length of the vector produced by :meth:`encode`."""
         return len(self.skip_positions())
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the block DAG (sequential + skip edges) as a networkx digraph."""
+    def to_networkx(self):
+        """Export the block DAG (sequential + skip edges) as a ``networkx.DiGraph``.
+
+        Requires the optional ``graph`` extra; networkx is imported here, not
+        at module scope, so no search process pays for it.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_node(0, kind="input")
         for layer in range(1, self.num_nodes):
@@ -276,8 +282,17 @@ class BlockAdjacency:
         return graph
 
     def is_acyclic(self) -> bool:
-        """Sanity check used by property-based tests (always true by construction)."""
-        return nx.is_directed_acyclic_graph(self.to_networkx())
+        """Whether the block DAG has no cycle.
+
+        The sequential edges form the path ``0 -> 1 -> ... -> depth``, so a
+        non-zero entry ``(i, j)`` with ``i >= j`` closes the cycle
+        ``j -> ... -> i -> j``; conversely, if every edge runs from a lower
+        node to a higher one the node order is topological.  The check reads
+        the whole matrix, so a backward entry written past :meth:`validate`
+        is caught.
+        """
+        sources, destinations = np.nonzero(self.matrix)
+        return bool(np.all(sources < destinations))
 
     # ------------------------------------------------------------------
     # dunder protocol

@@ -41,6 +41,7 @@ evaluations without losing any completed result.
 from __future__ import annotations
 
 import concurrent.futures
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -118,6 +119,20 @@ class _TelemetryCall:
         return result
 
 
+def _run_pickled(payload: bytes) -> EvaluationResult:
+    """Worker-side trampoline: unpickle a ``(task, spec)`` pair and run it.
+
+    :meth:`AsyncEvaluationExecutor.submit` pickles the pair itself, on the
+    submitting thread.  Handing the task object to the pool instead would
+    leave the pickling to the pool's feeder thread at some later moment,
+    while the search loop goes on applying weight updates to the shared
+    :class:`~repro.core.weight_sharing.WeightStore` the objective references;
+    the worker could then see a store state from after the submission.
+    """
+    task, spec = pickle.loads(payload)
+    return task(spec)
+
+
 def _absorb_telemetry(result: EvaluationResult) -> None:
     """Fold a worker result's transport-only telemetry into this process.
 
@@ -182,7 +197,7 @@ class AsyncEvaluationExecutor:
     ----------
     objective:
         Callable evaluating one :class:`ArchitectureSpec`.  It is pickled per
-        task (exactly like the batch path's ``pool.map``), so workers always
+        task, inside :meth:`submit` on the calling thread, so workers always
         see the objective state as of the submission.
     workers:
         Worker processes.  ``<= 1`` selects the serial mode: submissions are
@@ -239,7 +254,8 @@ class AsyncEvaluationExecutor:
         self._tickets += 1
         if self._pool is not None:
             task = _TelemetryCall(self.objective, capture_context())
-            self._futures[ticket] = self._pool.submit(task, spec)
+            payload = pickle.dumps((task, spec), protocol=pickle.HIGHEST_PROTOCOL)
+            self._futures[ticket] = self._pool.submit(_run_pickled, payload)
             self._specs[ticket] = spec
         else:
             self._pending_serial.append((ticket, spec))

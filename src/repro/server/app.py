@@ -26,6 +26,7 @@ Graceful shutdown (:meth:`ReproServer.stop`, triggered by SIGTERM/SIGINT in
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -48,6 +49,10 @@ from repro.server.routes import (
     resolve,
 )
 from repro.tensor.sparse import aggregate_sparse_counters
+
+
+#: Content-Length is 1*DIGIT (RFC 9110 section 8.6): no sign, no spaces inside
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _store_lookup_hit_rate() -> float:
@@ -90,8 +95,16 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.app  # type: ignore[attr-defined]
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not _DIGITS.fullmatch(header):
+            # the body cannot be framed, so the connection cannot be reused;
+            # a negative length would otherwise reach rfile.read(-1) and block
+            # the handler thread until the client closes the socket
+            self.close_connection = True
+            raise HTTPError(400, f"invalid Content-Length header {header!r}")
+        length = int(header)
         if length > self.max_body_bytes:
+            self.close_connection = True  # the unread body would be parsed as the next request
             raise HTTPError(413, f"request body exceeds {self.max_body_bytes} bytes")
         return self.rfile.read(length) if length else b""
 
@@ -153,6 +166,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

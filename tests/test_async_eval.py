@@ -20,6 +20,8 @@ provably crosses a fresh-interpreter process boundary.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,25 @@ from repro.core.objectives import SyntheticWeightObjective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.core.weight_sharing import WeightStore, WeightUpdate
 from repro.training.snn_trainer import SNNTrainingConfig
+
+
+class ProbeObjective(SyntheticWeightObjective):
+    """Reports the shared-store keys the worker saw, and records which
+    thread pickled it (module level so it pickles under spawn)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: ``threading.get_ident()`` of each thread that pickled this object
+        self.pickling_threads = []
+
+    def __getstate__(self):
+        self.pickling_threads.append(threading.get_ident())
+        return {**self.__dict__, "pickling_threads": []}
+
+    def __call__(self, spec):
+        result = super().__call__(spec)
+        result.metrics["seen_keys"] = sorted(self.weight_store.keys())
+        return result
 
 
 def make_space(depth: int = 4) -> SearchSpace:
@@ -111,6 +132,31 @@ class TestAsyncEvaluationExecutor:
             np.testing.assert_array_equal(completed[ticket].spec.encode(), spec.encode())
             # results must describe the submitted spec, whatever worker ran it
             np.testing.assert_array_equal(completed[ticket].result.spec.encode(), spec.encode())
+
+    def test_task_is_pickled_at_submit_on_the_submitting_thread(self):
+        """A store mutation after submit() must not reach the worker.
+
+        The search loop applies weight updates to the shared store while
+        evaluations are in flight; the worker must see the store as of the
+        submission, which holds only if submit() pickles the task itself
+        instead of leaving it to the pool's feeder thread.
+        """
+        store = WeightStore({"before": np.ones(2)})
+        objective = ProbeObjective(weight_store=store)
+        objective.defer_updates = True
+        specs = make_space().sample_batch(3, rng=4)
+        with AsyncEvaluationExecutor(objective, workers=2) as executor:
+            assert executor.is_parallel
+            del objective.pickling_threads[:]  # the constructor's picklability probe
+            for index, spec in enumerate(specs):
+                executor.submit(spec)
+                assert objective.pickling_threads == [threading.get_ident()] * (index + 1)
+                store.merge_from_state({f"after{index}": np.ones(2)})
+            completed = {done.ticket: done.result for done in executor.drain()}
+        assert len(objective.pickling_threads) == len(specs)
+        for ticket in range(len(specs)):
+            expected = sorted(["before"] + [f"after{index}" for index in range(ticket)])
+            assert completed[ticket].metrics["seen_keys"] == expected
 
     def test_unpicklable_objective_falls_back_to_serial(self):
         store = WeightStore()

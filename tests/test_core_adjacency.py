@@ -171,6 +171,16 @@ class TestGraphExport:
         for seed in range(5):
             assert BlockAdjacency.random(5, rng=seed, density=0.8).is_acyclic()
 
+    @pytest.mark.parametrize("entry", [(3, 1), (4, 0), (2, 2)])
+    def test_backward_edge_or_self_loop_is_a_cycle(self, entry):
+        """A backward entry written past validate() closes a cycle with the
+        sequential path, and is_acyclic() must say so."""
+        block = BlockAdjacency.fully_connected(4, code=ASC)
+        block.matrix[entry] = DSC
+        assert not block.is_acyclic()
+        block.matrix[entry] = NO_CONNECTION
+        assert block.is_acyclic()
+
     def test_longest_path_grows_with_depth(self):
         graph = BlockAdjacency(6).to_networkx()
         assert nx.dag_longest_path_length(graph) == 6

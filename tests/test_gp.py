@@ -196,3 +196,82 @@ class TestAcquisitions:
             ExpectedImprovement(xi=-0.1)
         with pytest.raises(ValueError):
             UpperConfidenceBound(kappa=1.0, decay=1.5)
+
+
+def _z_grid() -> np.ndarray:
+    """Standard scores covering |z| up to 40 plus every IEEE special value."""
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 38.5, -38.5])
+    return np.concatenate([np.linspace(-40.0, 40.0, 8001), specials])
+
+
+def assert_bitwise_equal(got, expected) -> None:
+    """Equal bit for bit, NaN sign aside.
+
+    scipy's ``norm.pdf`` substitutes ``+nan`` for a NaN input while the bare
+    formula yields ``-nan``; IEEE attaches no meaning to a NaN's sign, so NaNs
+    must sit at the same positions and every other value must match exactly.
+    """
+    got = np.asarray(got, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+class TestAcquisitionsMatchScipyNorm:
+    """The acquisitions avoid importing ``scipy.stats`` but must reproduce its
+    ``norm.cdf`` / ``norm.pdf`` bit for bit (``scipy.stats`` is imported here,
+    in the test only, as the reference)."""
+
+    @pytest.fixture()
+    def posterior(self):
+        z = _z_grid()
+        std = np.resize(np.array([1.0, 0.37, 2.5, 1e-13, 0.0]), z.shape)
+        # mean chosen so that (best - mean) / std walks the z grid for std = 1
+        return -z, std
+
+    def test_density_and_cdf_are_bitwise_equal(self):
+        from scipy.stats import norm
+
+        from repro.gp.acquisition import _norm_pdf, ndtr
+
+        z = _z_grid()
+        assert_bitwise_equal(ndtr(z), norm.cdf(z))
+        assert_bitwise_equal(_norm_pdf(z), norm.pdf(z))
+
+    def test_expected_improvement_is_bitwise_equal(self, posterior):
+        from scipy.stats import norm
+
+        mean, std = posterior
+        xi = 0.01
+        clipped = np.maximum(std, 1e-12)
+        improvement = 0.0 - mean - xi
+        z = improvement / clipped
+        with np.errstate(invalid="ignore"):
+            expected = improvement * norm.cdf(z) + clipped * norm.pdf(z)
+            got = ExpectedImprovement(xi=xi)(mean, std, best_observed=0.0)
+        assert_bitwise_equal(got, expected)
+
+    def test_probability_of_improvement_is_bitwise_equal(self, posterior):
+        from scipy.stats import norm
+
+        mean, std = posterior
+        expected = norm.cdf((0.0 - mean - 0.0) / np.maximum(std, 1e-12))
+        got = ProbabilityOfImprovement(xi=0.0)(mean, std, best_observed=0.0)
+        assert_bitwise_equal(got, expected)
+
+    def test_probability_in_bounds_is_bitwise_equal(self, posterior):
+        from scipy.stats import norm
+
+        from repro.gp.acquisition import probability_in_bounds
+
+        mean, std = posterior
+        clipped = np.maximum(std, 1e-12)
+        upper = norm.cdf((0.5 - mean) / clipped)
+        lower = norm.cdf((-0.25 - mean) / clipped)
+        assert_bitwise_equal(probability_in_bounds(mean, std, upper=0.5), np.maximum(upper, 0.0))
+        assert_bitwise_equal(probability_in_bounds(mean, std, lower=-0.25), np.maximum(1.0 - lower, 0.0))
+        assert_bitwise_equal(
+            probability_in_bounds(mean, std, lower=-0.25, upper=0.5), np.maximum(upper - lower, 0.0)
+        )

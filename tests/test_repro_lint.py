@@ -11,6 +11,7 @@ acceptance test runs the analyzer over the real repository.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -546,6 +547,124 @@ class TestSwallowedException:
 
 
 # ---------------------------------------------------------------------------
+# rule: undeclared-dependency
+# ---------------------------------------------------------------------------
+
+PYPROJECT = """
+[build-system]
+requires = ["setuptools>=61"]
+
+[project]
+name = "demo"
+dependencies = [
+    # a comment with "quotes" and [brackets]
+    "NumPy>=2.0",
+    'scipy_extra[fast] >= 1.0',
+]
+
+[project.optional-dependencies]
+graph = ["networkx>=2.6"]
+"dev" = [
+    "pytest>=7",
+    "PyYAML",
+]
+
+[tool.other]
+dependencies = ["not-a-project-dependency"]
+"""
+
+
+class TestUndeclaredDependency:
+    def test_undeclared_and_extra_only_module_imports_are_flagged(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "pyproject.toml": PYPROJECT,
+                "src/demo/__init__.py": "",
+                "src/demo/core.py": """
+                import networkx as nx
+                from requests import get
+
+                class Loader:
+                    import yaml
+
+                def fetch():
+                    import toolz
+                    return toolz, nx, get
+                """,
+            },
+        )
+        found = [f for f in report.findings if f.rule == "undeclared-dependency"]
+        assert [(f.path, f.line) for f in found] == [
+            ("src/demo/core.py", 2),
+            ("src/demo/core.py", 3),
+            ("src/demo/core.py", 6),
+            ("src/demo/core.py", 9),
+        ]
+        assert "only in the optional extra(s) graph" in found[0].message
+        assert "'requests'" in found[1].message and "[project].dependencies of" in found[1].message
+        assert "only in the optional extra(s) dev" in found[2].message  # class bodies run at import
+        assert "or an optional extra" in found[3].message
+
+    def test_declared_stdlib_first_party_and_local_extras_are_clean(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "pyproject.toml": PYPROJECT,
+                "src/demo/__init__.py": "",
+                "src/demo/core.py": """
+                from __future__ import annotations
+
+                import json
+                import os.path
+                import numpy as np
+                import scipy_extra.fast
+                from demo import helpers
+                from . import helpers as again
+
+                def export():
+                    import networkx
+                    import yaml
+                    return networkx, yaml, json, os, np, scipy_extra, helpers, again
+                """,
+                "src/demo/helpers.py": "",
+                # outside src/: benchmarks and tools may use dev-only libraries
+                "tools/script.py": "import requests\n",
+            },
+        )
+        assert "undeclared-dependency" not in rules_of(report)
+
+    def test_toml_subset_parser(self):
+        from tools.analyze.rules.undeclared_dependency import parse_declared
+
+        required, extras = parse_declared(textwrap.dedent(PYPROJECT))
+        assert required == {"numpy", "scipy-extra"}
+        assert extras == {"graph": {"networkx"}, "dev": {"pytest", "pyyaml"}}
+
+    def test_toml_subset_parser_agrees_with_tomllib_on_the_repo(self):
+        tomllib = pytest.importorskip("tomllib")
+        from tools.analyze.rules.undeclared_dependency import normalize, parse_declared
+
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        project = tomllib.loads(text)["project"]
+        def names(requirements):
+            return {normalize(re.match(r"[A-Za-z0-9._-]+", req).group(0)) for req in requirements}
+
+        required, extras = parse_declared(text)
+        assert required == names(project["dependencies"])
+        assert extras == {key: names(reqs) for key, reqs in project["optional-dependencies"].items()}
+
+    def test_listed_stdlib_names_cover_python39(self):
+        """The Python 3.9 fallback (no sys.stdlib_module_names) finds pure,
+        extension and built-in standard modules but no installed package."""
+        from tools.analyze.rules.undeclared_dependency import listed_stdlib_names
+
+        names = listed_stdlib_names()
+        assert {"json", "concurrent", "sys", "math", "_thread", "__future__"} <= names
+        assert not {"numpy", "scipy", "site-packages"} & names
+
+
+# ---------------------------------------------------------------------------
 # suppression mechanics
 # ---------------------------------------------------------------------------
 
@@ -711,6 +830,7 @@ class TestEngine:
             "metrics-hygiene",
             "store-schema-drift",
             "swallowed-exception",
+            "undeclared-dependency",
         } <= names
 
 

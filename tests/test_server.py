@@ -20,6 +20,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -194,6 +195,59 @@ class TestReadEndpoints:
     def test_recommend_bad_parameter_is_400(self, server):
         status, body = get_json(server.url + "/recommend?energy_budget=cheap")
         assert status == 400 and "energy_budget" in body["error"]
+
+
+def raw_request(server, request: bytes, timeout: float = 5.0):
+    """Send raw bytes; return (status, JSON body) of the reply.
+
+    The socket timeout turns a handler that blocks on the request into a
+    test failure instead of a hung suite.
+    """
+    with socket.create_connection((server.host, server.port), timeout=timeout) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            reply += data
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body.decode("utf-8")), head.decode("latin-1")
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("method, path", [("GET", "/healthz"), ("POST", "/jobs")])
+    @pytest.mark.parametrize(
+        "length, expected, reason",
+        [
+            ("abc", 400, "invalid Content-Length"),
+            ("-1", 400, "invalid Content-Length"),
+            ("+5", 400, "invalid Content-Length"),
+            ("1e3", 400, "invalid Content-Length"),
+            (str(2 << 20), 413, "exceeds"),
+        ],
+    )
+    def test_bad_content_length_is_rejected_and_closes(self, server, method, path, length, expected, reason):
+        request = f"{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+        status, body, head = raw_request(server, request.encode("ascii"))
+        assert status == expected
+        assert reason in body["error"]
+        # the reply must end the connection: recv() returned EOF above, and
+        # the header says so, since the unread body cannot be framed
+        assert "Connection: close" in head
+        # the server is still healthy and counted the request as a 400
+        assert get_json(server.url + "/healthz")[0] == 200
+
+    def test_valid_content_length_still_reads_the_body(self, server):
+        payload = json.dumps({"dataset": "imagenet"}).encode("utf-8")
+        request = (
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            + f"Content-Length: {len(payload)}\r\n\r\n".encode("ascii")
+            + payload
+        )
+        status, body, _ = raw_request(server, request)
+        assert status == 400 and "imagenet" in body["error"]
 
 
 class TestJobs:

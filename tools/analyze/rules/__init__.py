@@ -16,6 +16,7 @@ from tools.analyze.rules import (
     schema_drift,
     spawn_safety,
     swallowed_exception,
+    undeclared_dependency,
 )
 
 __all__ = [
@@ -26,4 +27,5 @@ __all__ = [
     "schema_drift",
     "spawn_safety",
     "swallowed_exception",
+    "undeclared_dependency",
 ]
